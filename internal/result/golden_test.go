@@ -28,7 +28,7 @@ const goldenDir = "../../testdata/golden"
 const scenarioDir = "../../examples/scenarios"
 
 // goldenSpecs returns the curated spec paths, sorted.
-func goldenSpecs(t *testing.T) []string {
+func goldenSpecs(t testing.TB) []string {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join(scenarioDir, "*.json"))
 	if err != nil || len(paths) == 0 {

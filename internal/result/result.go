@@ -18,7 +18,6 @@
 package result
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -173,11 +172,11 @@ func wrapReport(sp *scenario.Spec, hash string, mr *scenario.ModelReport) (*Repo
 		rep.Cases[i] = CaseResult{Name: c.Name, Result: c.Lab, Metrics: c.Metrics}
 	}
 	if mr.Trace != nil {
-		var tb bytes.Buffer
-		if err := WriteTrace(&tb, mr.Trace, hash); err != nil {
+		csv, err := renderTrace(mr.Trace, hash)
+		if err != nil {
 			return nil, err
 		}
-		rep.TraceCSV = tb.Bytes()
+		rep.TraceCSV = csv
 		rep.Trace = mr.Trace
 	}
 	return rep, nil

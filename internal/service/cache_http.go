@@ -47,8 +47,9 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.CAS != nil {
 		if data, ok := s.cfg.CAS.Get(key); ok {
 			// Validate before serving: a stale-codec blob must be a miss
-			// for the peer too.
-			if _, err := result.DecodeReport(data); err == nil {
+			// for the peer too. The peer renders the trace CSV itself,
+			// so the check skips the render.
+			if result.CheckReport(data) == nil {
 				writeBlob(w, hash, data)
 				return
 			}

@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 
 	"repro/internal/result"
 	"repro/internal/scenario"
+	"repro/internal/trace"
 )
 
 // ckptSpec is a single-run spec long enough (5M integration steps) that
@@ -265,5 +268,66 @@ func TestTraceWindowEndpoint(t *testing.T) {
 	// cannot fill 100k buckets, but the request is fine.
 	if code, _, _ := getBody(t, base+"?points=100000"); code != 200 {
 		t.Errorf("clamped points: status %d, want 200", code)
+	}
+}
+
+// TestTraceWindowZeroWidthIs400 pins the zero-width window fix: a
+// windowed query whose range collapses to a point used to write the 200
+// status and the comment line, then panic in the renderer. Both ways to
+// get there — an explicit from == to, and the default full range of a
+// trace holding a single timestamp — must be a 400 with no CSV.
+func TestTraceWindowZeroWidthIs400(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	st, _ := submit(t, ts, tinySpec("zero-width"))
+	if fin := await(t, ts, st.ID); fin.State != JobDone {
+		t.Fatalf("job: %+v", fin)
+	}
+	base := ts.URL + "/v1/jobs/" + st.ID + "/trace"
+	for _, q := range []string{"?from=0.001&to=0.001", "?from=0&to=0&points=3"} {
+		if code, body, _ := getBody(t, base+q); code != http.StatusBadRequest || strings.Contains(body, "spec-hash") {
+			t.Errorf("%s: status %d, body %q; want a 400 without CSV", q, code, body)
+		}
+	}
+
+	// A single-timestamp trace, adopted through the peer push endpoint
+	// and then served as a memory hit.
+	spec := tinySpec("single-timestamp")
+	sp, err := scenario.Parse([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := sp.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.NewRecorder()
+	rec.Record("vcc", "V", 0.001, 2.5)
+	rec.Record("mode", "", 0.001, 1)
+	blob, err := result.EncodeReport(&result.Report{SpecHash: hash, Text: "single-timestamp\n", Cases: []result.CaseResult{{Name: "single-timestamp"}}, Trace: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/cache/"+hash, bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("cache push: status %d", resp.StatusCode)
+	}
+	st, _ = submit(t, ts, spec)
+	if fin := await(t, ts, st.ID); fin.State != JobDone {
+		t.Fatalf("job: %+v", fin)
+	}
+	base = ts.URL + "/v1/jobs/" + st.ID + "/trace"
+	if code, body, _ := getBody(t, base); code != 200 || !strings.HasSuffix(body, "t,vcc(V),mode\n0.001,2.5,1\n") {
+		t.Errorf("full trace: status %d, body %q", code, body)
+	}
+	if code, body, _ := getBody(t, base+"?points=8"); code != http.StatusBadRequest || strings.Contains(body, "spec-hash") {
+		t.Errorf("default window on a single timestamp: status %d, body %q; want a 400 without CSV", code, body)
 	}
 }

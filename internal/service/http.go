@@ -16,6 +16,7 @@ import (
 	"repro/internal/result"
 	"repro/internal/scenario"
 	"repro/internal/source"
+	"repro/internal/trace"
 	"repro/internal/transient"
 )
 
@@ -226,7 +227,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if s.notReady(w, st) {
 		return
 	}
-	if rep.TraceCSV == nil {
+	if rep.Trace == nil {
 		writeError(w, http.StatusNotFound,
 			"job %s has no trace (traces are captured for single-run specs only)", st.ID)
 		return
@@ -273,11 +274,6 @@ func traceQueryFloat(q url.Values, name string, fallback float64) (float64, erro
 // O(points) regardless of how many samples the trace holds. Defaults:
 // the trace's full time range and defaultTracePoints buckets.
 func (s *Server) serveTraceWindow(w http.ResponseWriter, st JobStatus, rep *result.Report, q url.Values) {
-	if rep.Trace == nil {
-		writeError(w, http.StatusBadRequest,
-			"job %s carries a pre-columnar trace; only the unqualified full-CSV form is available", st.ID)
-		return
-	}
 	lo, hi, _ := rep.Trace.TimeRange()
 	from, err := traceQueryFloat(q, "from", lo)
 	if err != nil {
@@ -287,10 +283,6 @@ func (s *Server) serveTraceWindow(w http.ResponseWriter, st JobStatus, rep *resu
 	to, err := traceQueryFloat(q, "to", hi)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if to < from {
-		writeError(w, http.StatusBadRequest, "query window is empty: from=%g > to=%g", from, to)
 		return
 	}
 	points := defaultTracePoints
@@ -303,6 +295,13 @@ func (s *Server) serveTraceWindow(w http.ResponseWriter, st JobStatus, rep *resu
 		if points > maxTracePoints {
 			points = maxTracePoints
 		}
+	}
+	// A zero-width window — from == to, or the default range of a trace
+	// with a single timestamp — has no buckets; reject it before the
+	// status line, never as a truncated 200.
+	if err := trace.CheckWindow(from, to, points); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	w.Header().Set("Content-Type", "text/csv; charset=utf-8")
 	w.Header().Set("X-Spec-Hash", st.Hash)

@@ -49,7 +49,10 @@ func EncodeRecorder(r *Recorder) []byte {
 }
 
 // DecodeRecorder reconstructs a recorder encoded by EncodeRecorder,
-// including block summaries (rebuilt on append) and interval gate state.
+// including block summaries and interval gate state. It rejects what
+// no recorder can hold: duplicate series names, and timestamps that are
+// non-finite or decrease within a series — the renderers rely on a
+// forward-moving clock.
 func DecodeRecorder(data []byte) (*Recorder, error) {
 	d := &decoder{buf: data}
 	if magic := d.u32(); magic != codecMagic {
@@ -72,15 +75,21 @@ func DecodeRecorder(data []byte) (*Recorder, error) {
 		if rem := len(d.buf) - d.off; n < 0 || rem/16 < n {
 			return nil, fmt.Errorf("trace: series %q claims %d samples, %d bytes left", name, n, rem)
 		}
+		if _, dup := r.series[name]; dup {
+			return nil, fmt.Errorf("trace: duplicate series %q", name)
+		}
 		s := r.create(name, unit)
-		for j := 0; j < n; j++ {
-			s.Append(d.f64(), 0)
+		s.ts = d.f64s(n)
+		s.vs = d.f64s(n)
+		for j, t := range s.ts {
+			if math.IsNaN(t) || math.IsInf(t, 0) {
+				return nil, fmt.Errorf("trace: series %q sample %d has non-finite timestamp %g", name, j, t)
+			}
+			if j > 0 && t < s.ts[j-1] {
+				return nil, fmt.Errorf("trace: series %q timestamps decrease at sample %d (%g after %g)", name, j, t, s.ts[j-1])
+			}
 		}
-		for j := 0; j < n; j++ {
-			// Values follow all timestamps; patch them in and rebuild
-			// the touched block summary from scratch.
-			s.vs[j] = d.f64()
-		}
+		s.blocks = make([]blockSummary, (n+blockSize-1)/blockSize)
 		rebuildBlocks(s)
 		s.lastT = lastT
 	}
@@ -160,6 +169,17 @@ func (d *decoder) f64() float64 {
 		return 0
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
+}
+
+// f64s reads n consecutive float64 values; the caller has checked that
+// the buffer holds them.
+func (d *decoder) f64s(n int) []float64 {
+	b := d.take(8 * n)
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return out
 }
 
 func (d *decoder) str() string {

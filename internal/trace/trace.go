@@ -15,11 +15,8 @@
 package trace
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Point is a single (time, value) sample.
@@ -182,7 +179,13 @@ func (s *Series) Sample(t float64) float64 {
 		return s.vs[n-1]
 	}
 	// Binary search for the bracketing interval.
-	i := sort.Search(n, func(i int) bool { return s.ts[i] > t })
+	return s.lerp(sort.Search(n, func(i int) bool { return s.ts[i] > t }), t)
+}
+
+// lerp interpolates at t between samples i-1 and i, where i is the first
+// index whose timestamp exceeds t. Sample and the CSV renderer's cursor
+// both go through it, so they yield the same bits for the same bracket.
+func (s *Series) lerp(i int, t float64) float64 {
 	a, b := s.ts[i-1], s.ts[i]
 	if b == a {
 		return s.vs[i]
@@ -357,47 +360,4 @@ func (r *Recorder) Names() []string {
 	out := make([]string, len(r.order))
 	copy(out, r.order)
 	return out
-}
-
-// WriteCSV writes all series as aligned CSV columns (time, then one column
-// per series, values linearly interpolated onto the union of timestamps of
-// the first series). For experiment output where all series share a clock
-// this is exact.
-func (r *Recorder) WriteCSV(w io.Writer) error {
-	if len(r.order) == 0 {
-		_, err := fmt.Fprintln(w, "t")
-		return err
-	}
-	header := []string{"t"}
-	for _, name := range r.order {
-		s := r.series[name]
-		col := name
-		if s.Unit != "" {
-			col = fmt.Sprintf("%s(%s)", name, s.Unit)
-		}
-		header = append(header, col)
-	}
-	if _, err := fmt.Fprintln(w, strings.Join(header, ",")); err != nil {
-		return err
-	}
-	base := r.series[r.order[0]]
-	for i := 0; i < base.Len(); i++ {
-		t := base.ts[i]
-		row := make([]string, 0, len(r.order)+1)
-		row = append(row, formatFloat(t))
-		for _, name := range r.order {
-			row = append(row, formatFloat(r.series[name].Sample(t)))
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func formatFloat(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return fmt.Sprintf("%.0f", v)
-	}
-	return fmt.Sprintf("%.9g", v)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 )
 
 // Bucket is one aggregation interval of a windowed query: the samples
@@ -23,10 +22,10 @@ type Bucket struct {
 // interior of each bucket is answered from the block summaries, so the
 // cost is O(points + samples/blockSize) rather than O(samples): each
 // bucket scans at most two partial blocks at its edges, and consecutive
-// buckets share those edges. Points < 1 or to ≤ from yields nil; an
+// buckets share those edges. A window CheckWindow rejects yields nil; an
 // empty series yields buckets with N == 0 and zero values.
 func (s *Series) Window(from, to float64, points int) []Bucket {
-	if points < 1 || !(to > from) {
+	if CheckWindow(from, to, points) != nil {
 		return nil
 	}
 	width := (to - from) / float64(points)
@@ -66,43 +65,56 @@ func (s *Series) Window(from, to float64, points int) []Bucket {
 	return out
 }
 
+// CheckWindow reports whether [from, to] split into points buckets is a
+// window Window can answer: at least one point, to > from, and a finite
+// width. Window yields nil for anything else, so callers check first.
+func CheckWindow(from, to float64, points int) error {
+	switch {
+	case points < 1:
+		return fmt.Errorf("trace: a window needs at least one point, got %d", points)
+	case !(to > from):
+		return fmt.Errorf("trace: window [%g, %g] is empty", from, to)
+	case math.IsInf(to-from, 0):
+		return fmt.Errorf("trace: window [%g, %g] has no finite width", from, to)
+	}
+	return nil
+}
+
 // WriteWindowCSV renders a windowed view of every series as CSV: one row
 // per bucket at the bucket start time, with name_min(unit),name_max(unit)
 // columns per series. It is the payload behind the service's
-// /trace?from=&to=&points= query.
+// /trace?from=&to=&points= query. A window CheckWindow rejects is an
+// error before any byte is written.
 func (r *Recorder) WriteWindowCSV(w io.Writer, from, to float64, points int) error {
-	if len(r.order) == 0 {
-		_, err := fmt.Fprintln(w, "t")
+	if err := CheckWindow(from, to, points); err != nil {
 		return err
 	}
-	header := []string{"t"}
-	for _, name := range r.order {
+	c := newCSVWriter(w)
+	c.buf = append(c.buf, 't')
+	windows := make([][]Bucket, len(r.order))
+	for i, name := range r.order {
 		s := r.series[name]
 		unit := ""
 		if s.Unit != "" {
 			unit = "(" + s.Unit + ")"
 		}
-		header = append(header, name+"_min"+unit, name+"_max"+unit)
+		c.buf = append(c.buf, ","+name+"_min"+unit+","+name+"_max"+unit...)
+		windows[i] = s.Window(from, to, points)
 	}
-	if _, err := fmt.Fprintln(w, strings.Join(header, ",")); err != nil {
+	if err := c.endRow(); err != nil {
 		return err
 	}
-	windows := make([][]Bucket, len(r.order))
-	for i, name := range r.order {
-		windows[i] = r.series[name].Window(from, to, points)
-	}
-	for b := 0; b < points; b++ {
-		row := make([]string, 0, 2*len(r.order)+1)
-		row = append(row, formatFloat(windows[0][b].T))
-		for i := range r.order {
-			bk := windows[i][b]
-			row = append(row, formatFloat(bk.Min), formatFloat(bk.Max))
+	for b := 0; b < points && len(windows) > 0; b++ {
+		c.buf = appendFloat(c.buf, windows[0][b].T)
+		for _, win := range windows {
+			c.cell(win[b].Min)
+			c.cell(win[b].Max)
 		}
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
+		if err := c.endRow(); err != nil {
 			return err
 		}
 	}
-	return nil
+	return c.flush()
 }
 
 // TimeRange returns the earliest and latest timestamp across all series
