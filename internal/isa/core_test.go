@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -415,20 +416,15 @@ neg:
 	}
 }
 
-// TestSuperblockAliasHazard pins alias safety of both decode caches at
-// once. PCs 0x4000 and 0x6000 collide in the direct-mapped icache
-// (0x4000 & icMask == 0x6000 & icMask) AND map to the same superblock
-// set ((pc>>1) & sbMask), so a tight ping-pong between them is the
-// worst-case thrash pattern: the icache line flips owner on every
-// bounce and the superblock set holds both hot blocks only because it
-// is 2-way. Raw-byte revalidation must keep every replay correct, and
+// TestSuperblockAliasHazard pins alias safety of the superblock cache.
+// PCs 0x4000 and 0x6000 map to the same superblock set
+// ((pc>>1) & sbMask), so a tight ping-pong between them is the
+// worst-case thrash pattern: the set holds both hot blocks only because
+// it is 2-way. Raw-byte revalidation must keep every replay correct, and
 // in steady state block executions must be served from cache — hits
 // vastly outnumbering builds proves neither block evicts the other.
 func TestSuperblockAliasHazard(t *testing.T) {
 	const rounds = 2000
-	if 0x4000&icMask != 0x6000&icMask {
-		t.Fatal("test premise broken: PCs no longer alias the icache")
-	}
 	if (0x4000>>1)&sbMask != (0x6000>>1)&sbMask {
 		t.Fatal("test premise broken: PCs no longer share a superblock set")
 	}
@@ -463,5 +459,23 @@ pong:
 	}
 	if hits < rounds {
 		t.Errorf("superblock hits = %d, want >= %d (steady-state replay from cache)", hits, rounds)
+	}
+}
+
+// TestCoreCacheLinePad pins Core's trailing cache-line pad: it must be
+// the last field and at least 64 bytes, so no other heap object's hot
+// data can share a cache line with the end of a Core.
+func TestCoreCacheLinePad(t *testing.T) {
+	typ := reflect.TypeOf(Core{})
+	last := typ.Field(typ.NumField() - 1)
+	if last.Name != "_" {
+		t.Fatalf("last Core field is %q, want the _ pad", last.Name)
+	}
+	if last.Type.Size() < 64 {
+		t.Fatalf("Core pad is %d bytes, want >= 64", last.Type.Size())
+	}
+	// Only alignment padding may follow the pad.
+	if end := last.Offset + last.Type.Size(); typ.Size()-end >= uintptr(typ.Align()) {
+		t.Fatalf("pad ends at %d, Core is %d bytes: pad is not at the tail", end, typ.Size())
 	}
 }

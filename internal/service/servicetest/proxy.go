@@ -19,16 +19,20 @@ import (
 // exactly the traffic a real network fault would: everything addressed
 // to the node from outside.
 //
-// Faults are sampled once per connection, when it is accepted; flipping
-// a fault never disturbs connections already relaying.
+// Faults are sampled once per connection, when it is accepted. Changing
+// a fault therefore severs every live relay: a client's keep-alive
+// connection opened before the change would otherwise carry its next
+// request past the fault, so instead that request dials again and sees
+// the current settings.
 type Proxy struct {
 	ln net.Listener
 
 	mu       sync.Mutex
-	backend  string        // node's real listener address
-	refuse   bool          // drop connections on accept (node "down")
-	latency  time.Duration // sleep before dialing the backend (node "slow")
-	cutAfter int64         // >0: close both ends after relaying this many response bytes
+	backend  string                // node's real listener address
+	refuse   bool                  // drop connections on accept (node "down")
+	latency  time.Duration         // sleep before dialing the backend (node "slow")
+	cutAfter int64                 // >0: close both ends after relaying this many response bytes
+	live     map[net.Conn]struct{} // client and backend ends of open relays
 }
 
 // NewProxy starts a relay on a fresh loopback port. The backend is set
@@ -39,7 +43,7 @@ func NewProxy() (*Proxy, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Proxy{ln: ln}
+	p := &Proxy{ln: ln, live: make(map[net.Conn]struct{})}
 	go p.acceptLoop()
 	return p, nil
 }
@@ -60,6 +64,7 @@ func (p *Proxy) Refuse(v bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.refuse = v
+	p.severLocked()
 }
 
 // SetLatency delays each new connection before the backend dial — a
@@ -68,6 +73,7 @@ func (p *Proxy) SetLatency(d time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.latency = d
+	p.severLocked()
 }
 
 // CutResponseAfter relays only n bytes of each response (headers
@@ -76,6 +82,7 @@ func (p *Proxy) CutResponseAfter(n int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.cutAfter = n
+	p.severLocked()
 }
 
 // Reset clears all injected faults.
@@ -83,6 +90,34 @@ func (p *Proxy) Reset() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.refuse, p.latency, p.cutAfter = false, 0, 0
+	p.severLocked()
+}
+
+// severLocked closes both ends of every live relay. p.mu must be held.
+func (p *Proxy) severLocked() {
+	for c := range p.live {
+		c.Close()
+	}
+	clear(p.live)
+}
+
+// track registers conn as part of the relay whose client end is client.
+// It reports false, without registering, if that relay was severed.
+func (p *Proxy) track(client, conn net.Conn) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if _, ok := p.live[client]; !ok {
+		return false
+	}
+	p.live[conn] = struct{}{}
+	return true
+}
+
+// untrack forgets a closed relay end.
+func (p *Proxy) untrack(conn net.Conn) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	delete(p.live, conn)
 }
 
 // Close stops accepting. Existing relays finish on their own.
@@ -101,7 +136,9 @@ func (p *Proxy) acceptLoop() {
 func (p *Proxy) relay(client net.Conn) {
 	p.mu.Lock()
 	refuse, latency, cut, backend := p.refuse, p.latency, p.cutAfter, p.backend
+	p.live[client] = struct{}{}
 	p.mu.Unlock()
+	defer p.untrack(client)
 
 	if refuse || backend == "" {
 		client.Close()
@@ -113,6 +150,13 @@ func (p *Proxy) relay(client net.Conn) {
 	server, err := net.Dial("tcp", backend)
 	if err != nil {
 		client.Close()
+		return
+	}
+	defer p.untrack(server)
+	if !p.track(client, server) {
+		// Severed while sleeping or dialing.
+		client.Close()
+		server.Close()
 		return
 	}
 
