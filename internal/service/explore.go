@@ -116,10 +116,12 @@ func (s *Server) runExploration(j *job) {
 // evaluateProbe resolves one derived case for an exploration through
 // the full cache hierarchy: memory (including riding another job's or
 // exploration's in-flight computation), then disk CAS, then the owning
-// peer, then local compute. Probes are computed exactly as single-run
-// jobs are — trace captured, same sampling interval — so a cache entry
-// is indistinguishable whether a job or an exploration put it there,
-// and either consumer can serve from it.
+// peer, then local compute. Probes run untraced, exactly as
+// result.RunExploration runs them: the explorer reads only metrics, so
+// a probe's cache entry is its report text plus metrics, a few KB in
+// memory, on disk and at the peer. A single-run job that later resolves
+// to such an entry serves the same /result bytes, and its /trace is
+// derived on demand (tracedReport).
 func (s *Server) evaluateProbe(j *job, sp *scenario.Spec) (explore.Outcome, error) {
 	hash, err := sp.Hash()
 	if err != nil {
@@ -175,10 +177,8 @@ func (s *Server) evaluateProbe(j *job, sp *scenario.Spec) (explore.Outcome, erro
 		}
 
 		rep, err := result.RunSpec(sp, result.Options{
-			Workers:       s.cfg.SweepWorkers,
-			Trace:         true,
-			TraceInterval: traceInterval(float64(sp.Duration)),
-			Cancel:        j.cancel,
+			Workers: s.cfg.SweepWorkers,
+			Cancel:  j.cancel,
 		})
 		if err != nil {
 			s.mu.Lock()

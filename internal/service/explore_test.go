@@ -1,17 +1,21 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cas"
 	"repro/internal/explore"
 	"repro/internal/result"
+	"repro/internal/scenario"
 )
 
 // tinyExploration returns a fast 3-probe grid exploration; the name
@@ -255,4 +259,172 @@ func TestRegistryListsModelMetrics(t *testing.T) {
 			t.Errorf("registry body lacks %s", frag)
 		}
 	}
+}
+
+// probeSpecs runs an exploration in-process with an evaluator that
+// records every derived spec, in evaluation order.
+func probeSpecs(t *testing.T, spec string) []*scenario.Spec {
+	t.Helper()
+	es, err := explore.Parse([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var specs []*scenario.Spec
+	_, err = explore.Run(es, explore.Options{
+		Workers: 1,
+		Evaluate: func(sp *scenario.Spec) (explore.Outcome, error) {
+			specs = append(specs, sp)
+			rep, err := result.RunSpec(sp, result.Options{Workers: 1})
+			if err != nil {
+				return explore.Outcome{}, err
+			}
+			return explore.Outcome{Metrics: rep.Cases[0].Metrics}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return specs
+}
+
+// awaitExploration submits an exploration and waits for it to finish.
+func awaitExploration(t *testing.T, ts *httptest.Server, spec string) {
+	t.Helper()
+	st, resp := submitExploration(t, ts, spec)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	if fin := await(t, ts, st.ID); fin.State != JobDone {
+		t.Fatalf("exploration: state %s (%s), want done", fin.State, fin.Error)
+	}
+}
+
+// A probe's cache entry is the report text plus metrics: no trace, a
+// few KB per blob.
+func TestExplorationProbesAreUntraced(t *testing.T) {
+	store, err := cas.Open(t.TempDir(), cas.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := tinyExploration("svc-explore-untraced")
+	_, ts := testServer(t, Config{CAS: store})
+	awaitExploration(t, ts, spec)
+
+	specs := probeSpecs(t, spec)
+	if store.Len() != len(specs) {
+		t.Fatalf("CAS holds %d blobs, want one per probe (%d)", store.Len(), len(specs))
+	}
+	for _, sp := range specs {
+		hash, err := sp.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, ok := store.Get(CacheKey(hash))
+		if !ok {
+			t.Fatalf("probe %s: no CAS blob", sp.Name)
+		}
+		rep, err := result.DecodeReport(data)
+		if err != nil {
+			t.Fatalf("probe %s: %v", sp.Name, err)
+		}
+		if rep.Trace != nil || rep.TraceCSV != nil {
+			t.Errorf("probe %s: blob carries a trace", sp.Name)
+		}
+		if len(data) >= 8<<10 {
+			t.Errorf("probe %s: blob is %d bytes, want under 8 KiB", sp.Name, len(data))
+		}
+	}
+}
+
+// checkDerivedTrace submits a probe's spec as a job against a server
+// whose cache tiers hold the probe's untraced entry, and checks that
+// the job serves the CLI's result and derives exactly the trace a
+// traced compute serves, also to concurrent first requests.
+func checkDerivedTrace(t *testing.T, ts *httptest.Server, sp *scenario.Spec, wantSource string) {
+	t.Helper()
+	canon, err := sp.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _ := submit(t, ts, string(canon))
+	fin := await(t, ts, st.ID)
+	if fin.State != JobDone || fin.Source != wantSource {
+		t.Fatalf("probe job: state=%s source=%q, want done/%s", fin.State, fin.Source, wantSource)
+	}
+
+	traced, err := result.RunSpec(sp, result.Options{
+		Workers:       1,
+		Trace:         true,
+		TraceInterval: traceInterval(float64(sp.Duration)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full bytes.Buffer
+	if err := result.WriteTrace(&full, traced.Trace, traced.SpecHash); err != nil {
+		t.Fatal(err)
+	}
+	const from, to, points = 0.0005, 0.0015, 16
+	window := bytes.NewBufferString("# spec-hash: " + traced.SpecHash + "\n")
+	if err := traced.Trace.WriteWindowCSV(window, from, to, points); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, body, _ := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result"); body != traced.Text {
+		t.Errorf("result differs from the CLI renderer:\n--- daemon\n%s\n--- cli\n%s", body, traced.Text)
+	}
+
+	// Concurrent first requests: every one must get the derived trace.
+	const n = 8
+	bodies := make([]string, n)
+	codes := make([]int, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/trace")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			b, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			codes[i], bodies[i] = resp.StatusCode, string(b)
+		}()
+	}
+	wg.Wait()
+	for i := range n {
+		if codes[i] != http.StatusOK || bodies[i] != full.String() {
+			t.Fatalf("concurrent trace %d: status %d, body differs from a traced compute:\n%.300s", i, codes[i], bodies[i])
+		}
+	}
+
+	code, body, _ := getBody(t, fmt.Sprintf("%s/v1/jobs/%s/trace?from=%g&to=%g&points=%d", ts.URL, st.ID, from, to, points))
+	if code != http.StatusOK || body != window.String() {
+		t.Errorf("windowed trace: status %d, body differs from a traced compute:\n%s\n--- want\n%s", code, body, window.String())
+	}
+}
+
+// A single-run job that resolves to a probe-filled entry — from memory,
+// or from disk on a second server over the same CAS — derives its trace
+// on demand, byte-identical to a traced compute.
+func TestTraceDerivedForProbeFilledEntry(t *testing.T) {
+	store, err := cas.Open(t.TempDir(), cas.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := tinyExploration("svc-explore-derive")
+	_, ts := testServer(t, Config{CAS: store})
+	awaitExploration(t, ts, spec)
+	specs := probeSpecs(t, spec)
+
+	t.Run("memory", func(t *testing.T) { checkDerivedTrace(t, ts, specs[0], SourceCache) })
+	t.Run("disk", func(t *testing.T) {
+		_, ts2 := testServer(t, Config{CAS: store})
+		checkDerivedTrace(t, ts2, specs[1], SourceDisk)
+	})
 }

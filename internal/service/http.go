@@ -228,9 +228,28 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if rep.Trace == nil {
-		writeError(w, http.StatusNotFound,
-			"job %s has no trace (traces are captured for single-run specs only)", st.ID)
-		return
+		switch {
+		case st.Kind == KindExploration:
+			writeError(w, http.StatusNotFound,
+				"job %s is an exploration and has no trace (submit one of its probe specs as a job to trace it)", st.ID)
+			return
+		case st.Sweep:
+			writeError(w, http.StatusNotFound,
+				"job %s is a sweep and has no trace (traces are captured for single-run specs only)", st.ID)
+			return
+		}
+		// A single-run job served from an entry an exploration probe
+		// stored untraced: derive the trace now.
+		traced, found, err := s.tracedReport(r.Context(), st.ID)
+		switch {
+		case !found:
+			writeError(w, http.StatusNotFound, "unknown job %q", st.ID)
+			return
+		case err != nil:
+			writeError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+		rep = traced
 	}
 	q := r.URL.Query()
 	if q.Has("from") || q.Has("to") || q.Has("points") {
@@ -269,37 +288,41 @@ func traceQueryFloat(q url.Values, name string, fallback float64) (float64, erro
 	return v, nil
 }
 
-// serveTraceWindow answers a windowed trace query: server-side min/max
-// decimation of [from, to] into at most `points` buckets per series,
-// O(points) regardless of how many samples the trace holds. Defaults:
-// the trace's full time range and defaultTracePoints buckets.
-func (s *Server) serveTraceWindow(w http.ResponseWriter, st JobStatus, rep *result.Report, q url.Values) {
-	lo, hi, _ := rep.Trace.TimeRange()
-	from, err := traceQueryFloat(q, "from", lo)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+// parseTraceQuery parses a windowed trace query over a trace spanning
+// [lo, hi]: from and to default to that span, points defaults to
+// defaultTracePoints and is clamped to maxTracePoints. A zero-width
+// window — from == to, or the default range of a trace with a single
+// timestamp — has no buckets, so an accepted window is one
+// trace.CheckWindow passes and every rejection can be a 400 before the
+// status line, never a truncated 200.
+func parseTraceQuery(q url.Values, lo, hi float64) (from, to float64, points int, err error) {
+	if from, err = traceQueryFloat(q, "from", lo); err != nil {
+		return 0, 0, 0, err
 	}
-	to, err := traceQueryFloat(q, "to", hi)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+	if to, err = traceQueryFloat(q, "to", hi); err != nil {
+		return 0, 0, 0, err
 	}
-	points := defaultTracePoints
+	points = defaultTracePoints
 	if raw := q.Get("points"); raw != "" {
 		points, err = strconv.Atoi(raw)
 		if err != nil || points < 1 {
-			writeError(w, http.StatusBadRequest, "query parameter points=%q must be a positive integer", raw)
-			return
+			return 0, 0, 0, fmt.Errorf("query parameter points=%q must be a positive integer", raw)
 		}
-		if points > maxTracePoints {
-			points = maxTracePoints
-		}
+		points = min(points, maxTracePoints)
 	}
-	// A zero-width window — from == to, or the default range of a trace
-	// with a single timestamp — has no buckets; reject it before the
-	// status line, never as a truncated 200.
 	if err := trace.CheckWindow(from, to, points); err != nil {
+		return 0, 0, 0, err
+	}
+	return from, to, points, nil
+}
+
+// serveTraceWindow answers a windowed trace query: server-side min/max
+// decimation of [from, to] into at most `points` buckets per series,
+// O(points) regardless of how many samples the trace holds.
+func (s *Server) serveTraceWindow(w http.ResponseWriter, st JobStatus, rep *result.Report, q url.Values) {
+	lo, hi, _ := rep.Trace.TimeRange()
+	from, to, points, err := parseTraceQuery(q, lo, hi)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

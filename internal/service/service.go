@@ -179,7 +179,7 @@ const (
 
 // job is the server-side record. All fields are guarded by Server.mu
 // except cancel (closed at most once, guarded by the canceled flag under
-// mu) and the immutable identity fields.
+// mu), traceMu, and the immutable identity fields.
 type job struct {
 	id   string
 	spec *scenario.Spec // nil for exploration jobs
@@ -200,6 +200,10 @@ type job struct {
 	entry    *Entry // the cache entry this job resolved against
 	finished chan struct{}
 	ended    bool // finished closed
+
+	// traceMu serialises the on-demand trace recompute (tracedReport),
+	// so concurrent /trace requests run it once per job.
+	traceMu sync.Mutex
 }
 
 // JobStatus is the JSON-facing snapshot of one job.
@@ -891,11 +895,11 @@ func (s *Server) addPeerCounts(fn func()) {
 }
 
 // maxTraceSamples bounds a captured trace's length: the daemon records
-// every single-run job's V_CC trace (so /trace is always servable and
-// cache entries stay self-contained), and long simulated durations must
-// not translate into unbounded trace memory. 20k samples ≈ sub-MB of
-// CSV per job, so the worst case across the cache and job-history
-// bounds stays in the low hundreds of MB.
+// the V_CC trace of every single-run job it computes (and derives one on
+// demand for a job served from an untraced probe entry), and long
+// simulated durations must not translate into unbounded trace memory.
+// 20k samples ≈ sub-MB of CSV per job, so the worst case across the
+// cache and job-history bounds stays in the low hundreds of MB.
 const maxTraceSamples = 20_000
 
 // traceInterval picks the trace sampling interval for a run of the
@@ -945,6 +949,49 @@ func (s *Server) Result(id string) (*result.Report, JobStatus, bool) {
 		return nil, JobStatus{}, false
 	}
 	return j.report, j.status(), true
+}
+
+// tracedReport returns a finished single-run job's report with its trace
+// attached. A job served from a cache entry an exploration probe stored
+// untraced has none, so the first call reruns the spec traced — runs are
+// deterministic and recording never perturbs one, so the rerun is exact
+// — checks that it renders the same report text, and swaps the traced
+// report into the job record. The shared report is never mutated:
+// followers and every cache tier hold the same pointer. Concurrent calls
+// for one job wait for the first rerun instead of repeating it; the
+// rerun runs off s.mu and stops when ctx is done. found is false once
+// the job record is gone.
+func (s *Server) tracedReport(ctx context.Context, id string) (rep *result.Report, found bool, err error) {
+	s.mu.Lock()
+	j, found := s.jobs[id]
+	s.mu.Unlock()
+	if !found {
+		return nil, false, nil
+	}
+	j.traceMu.Lock()
+	defer j.traceMu.Unlock()
+	s.mu.Lock()
+	rep = j.report
+	s.mu.Unlock()
+	if rep.Trace != nil {
+		return rep, true, nil // an earlier call derived it
+	}
+	traced, err := result.RunSpec(j.spec, result.Options{
+		Workers:       s.cfg.SweepWorkers,
+		Trace:         true,
+		TraceInterval: traceInterval(float64(j.spec.Duration)),
+		Cancel:        ctx.Done(),
+	})
+	if err != nil {
+		return nil, true, fmt.Errorf("deriving the trace of job %s: %w", id, err)
+	}
+	if traced.Text != rep.Text {
+		return nil, true, fmt.Errorf("deriving the trace of job %s: the traced rerun rendered a different report", id)
+	}
+	s.mu.Lock()
+	j.report = traced
+	s.mu.Unlock()
+	return traced, true, nil
 }
 
 // Cancel requests a job's cancellation. Queued jobs cancel immediately;

@@ -405,11 +405,20 @@ func TestTraceEndpointStreamsCSVWithHash(t *testing.T) {
 		t.Errorf("trace CSV columns missing:\n%.200s", body)
 	}
 
-	// Sweep jobs have no single trace.
-	st2, _ := submit(t, ts, tinySweepSpec("svc-trace-sweep"))
-	await(t, ts, st2.ID)
-	if code, _, _ := getBody(t, ts.URL+"/v1/jobs/"+st2.ID+"/trace"); code != http.StatusNotFound {
-		t.Errorf("sweep trace: status %d, want 404", code)
+	// Sweep jobs have no single trace, exploration jobs none of their
+	// own; each 404 says which.
+	sw, _ := submit(t, ts, tinySweepSpec("svc-trace-sweep"))
+	await(t, ts, sw.ID)
+	ex, _ := submitExploration(t, ts, tinyExploration("svc-trace-explore"))
+	await(t, ts, ex.ID)
+	for _, tc := range []struct{ id, want string }{
+		{sw.ID, "is a sweep and has no trace"},
+		{ex.ID, "is an exploration and has no trace"},
+	} {
+		code, body, _ := getBody(t, ts.URL+"/v1/jobs/"+tc.id+"/trace")
+		if code != http.StatusNotFound || !strings.Contains(body, tc.want) {
+			t.Errorf("trace of %s: status %d body %s, want 404 saying %q", tc.id, code, body, tc.want)
+		}
 	}
 }
 

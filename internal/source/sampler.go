@@ -48,8 +48,28 @@ func VoltageFn(vs VoltageSource) func(t float64) float64 {
 			high := s.High
 			return func(float64) float64 { return high }
 		}
+		// Fast path: reduce t by a floor quotient with one FMA instead of
+		// math.Mod, whose exact long division costs several times more.
+		// It is exact. If t − q·period lies in [0, period), q is the true
+		// quotient, so that value is math.Mod's (representable) result,
+		// and FMA — correctly rounded on every platform — returns it
+		// unrounded. A wrong q puts the exact value outside [0, period);
+		// rounding is monotone, and it cannot take that value to zero
+		// (t, q and period are multiples of 2⁻¹⁰⁷⁴, so a nonzero value is
+		// at least the smallest subnormal), so r fails the range check
+		// and the math.Mod path below decides.
+		// That path also takes negative t, NaN, ±Inf and overflow.
 		high, on := s.High, s.OnTime
 		return func(t float64) float64 {
+			if t >= 0 {
+				q := math.Floor(t / period)
+				if r := math.FMA(-q, period, t); 0 <= r && r < period {
+					if r < on {
+						return high
+					}
+					return 0
+				}
+			}
 			phase := math.Mod(t, period)
 			if phase < 0 {
 				phase += period

@@ -2,6 +2,7 @@ package source
 
 import (
 	"math"
+	"strconv"
 	"testing"
 )
 
@@ -85,4 +86,105 @@ func assertPowerFn(t *testing.T, name string, ps PowerSource) {
 			t.Fatalf("%s: PowerFn(%g) = %v, Power = %v", name, tt, got, want)
 		}
 	}
+}
+
+// squareCases are the square supplies the sampler's fast path must
+// reproduce: the eq. (5) bisection bracket's on-times (each with the
+// 25 ms outage), the lab-mementos-square supply (registry defaults) and
+// the transient-fram-vs-sram supply.
+func squareCases() map[string]*SquareWaveVoltage {
+	cases := map[string]*SquareWaveVoltage{
+		"lab-mementos-square":    {High: 3.3, OnTime: 0.004, OffTime: 0.150, Rs: 100},
+		"transient-fram-vs-sram": {High: 3.3, OnTime: 0.025, OffTime: 0.025, Rs: 100},
+	}
+	for _, on := range []float64{0.0125, 0.025, 0.026001, 0.05, 0.1} {
+		cases["eq5-on="+strconv.FormatFloat(on, 'g', -1, 64)] = &SquareWaveVoltage{High: 3.3, OnTime: on, OffTime: 0.025, Rs: 100}
+	}
+	return cases
+}
+
+// squareMismatch returns the first time in ts at which the sampler and
+// the method differ bit for bit (NaN payloads aside).
+func squareMismatch(sq *SquareWaveVoltage, fn func(float64) float64, ts ...float64) (tt, got, want float64, bad bool) {
+	for _, tt := range ts {
+		want, got := sq.Voltage(tt), fn(tt)
+		if math.Float64bits(want) != math.Float64bits(got) && !(math.IsNaN(want) && math.IsNaN(got)) {
+			return tt, got, want, true
+		}
+	}
+	return 0, 0, 0, false
+}
+
+// TestSquareSamplerMatchesVoltageAtEveryStep walks each square supply
+// through 3 s of 5 µs lab steps, both as exact multiples of the step
+// and as the running sum a stepping loop accumulates.
+func TestSquareSamplerMatchesVoltageAtEveryStep(t *testing.T) {
+	const dt, steps = 5e-6, 600_000
+	for name, sq := range squareCases() {
+		fn := VoltageFn(sq)
+		acc := 0.0
+		for i := 0; i <= steps; i++ {
+			if tt, got, want, bad := squareMismatch(sq, fn, float64(i)*dt, acc); bad {
+				t.Fatalf("%s: VoltageFn(%v) = %v, Voltage = %v", name, tt, got, want)
+			}
+			acc += dt
+		}
+	}
+}
+
+// TestSquareSamplerMatchesVoltageAtEdges probes every rising and
+// falling edge k·period and k·period + on, and their float neighbours
+// on both sides, where a reduction off by one quotient would show.
+func TestSquareSamplerMatchesVoltageAtEdges(t *testing.T) {
+	const kMax = 200_000
+	for name, sq := range squareCases() {
+		fn := VoltageFn(sq)
+		period := sq.OnTime + sq.OffTime
+		for k := 0; k <= kMax; k++ {
+			for _, edge := range [2]float64{float64(k) * period, float64(k)*period + sq.OnTime} {
+				below, above := math.Nextafter(edge, math.Inf(-1)), math.Nextafter(edge, math.Inf(1))
+				if tt, got, want, bad := squareMismatch(sq, fn, below, edge, above); bad {
+					t.Fatalf("%s: VoltageFn(%v) = %v, Voltage = %v", name, tt, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSquareSamplerMatchesVoltageOnSpecialInputs covers the inputs the
+// fast path hands to math.Mod or must survive: signed zero, negative
+// time, infinities, NaN, the smallest subnormal, times whose quotient
+// is huge or overflows, and extreme periods.
+func TestSquareSamplerMatchesVoltageOnSpecialInputs(t *testing.T) {
+	times := []float64{
+		0, math.Copysign(0, -1), -1e-6, -0.5, -1e300, math.Inf(1), math.Inf(-1), math.NaN(),
+		5e-324, 1e-300, 1e15, 1e300, math.MaxFloat64, 0.5, 1, 3,
+	}
+	waves := squareCases()
+	waves["period=1e-300"] = &SquareWaveVoltage{High: 2, OnTime: 4e-301, OffTime: 6e-301}
+	waves["period=1e300"] = &SquareWaveVoltage{High: 2, OnTime: 4e299, OffTime: 6e299}
+	waves["on=0"] = &SquareWaveVoltage{High: 2, OnTime: 0, OffTime: 0.01}
+	waves["off=0"] = &SquareWaveVoltage{High: 2, OnTime: 0.01, OffTime: 0}
+	for name, sq := range waves {
+		fn := VoltageFn(sq)
+		if tt, got, want, bad := squareMismatch(sq, fn, times...); bad {
+			t.Fatalf("%s: VoltageFn(%v) = %v, Voltage = %v", name, tt, got, want)
+		}
+	}
+}
+
+var sinkVoltage float64
+
+// BenchmarkSquareSampler times one square-supply sample at the eq. (5)
+// probe's step grid — the per-step cost the lab pays.
+func BenchmarkSquareSampler(b *testing.B) {
+	fn := VoltageFn(&SquareWaveVoltage{High: 3.3, OnTime: 0.026001, OffTime: 0.025, Rs: 100})
+	const dt = 5e-6
+	var v float64
+	i := 0
+	for b.Loop() {
+		v += fn(float64(i) * dt)
+		i++
+	}
+	sinkVoltage = v
 }
