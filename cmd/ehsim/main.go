@@ -8,21 +8,22 @@
 // enumerates everything they export, with per-entry tunables and
 // defaults.
 //
-// The -c flag accepts a comma-separated list of capacitances; with more
-// than one, ehsim becomes a storage-axis sweep: every case runs in
-// parallel on the sweep engine and the results are printed as one table,
+// The run flags compile to a scenario spec (internal/scenario):
+// -workload, -supply, -runtime, -c and -dur fill its fields, storage.leakr
+// is 50 kΩ, and a comma-separated -c list becomes a sweep axis over c,
+// whose cases run in parallel on the sweep engine and print as one table
 // in flag order. -ff enables the lab's analytic fast-forward through idle
 // decay, which speeds up sparse supplies (long outages) several-fold at
 // tolerance-level accuracy cost.
 //
-// With -scenario the run is defined entirely by a JSON spec
-// (internal/scenario): a single run when the spec has no sweep axes, a
-// grid sweep otherwise. -workers, -ff and (single runs) -trace compose
-// with it. "-scenario -" reads the spec from stdin, so specs pipe
-// between tools (and into ehsimd client examples) without touching
-// disk. Execution and report rendering go through internal/result — the
-// same path the ehsimd service serves — so CLI output and service
-// results are byte-identical by construction.
+// With -scenario the spec comes from a JSON file instead: a single run
+// when the spec has no sweep axes, a grid sweep otherwise. -workers, -ff
+// and (single runs) -trace compose with it. "-scenario -" reads the spec
+// from stdin, so specs pipe between tools (and into ehsimd client
+// examples) without touching disk. Either way, execution and report
+// rendering go through internal/result — the same path the ehsimd
+// service serves — so CLI output and service results are byte-identical
+// by construction, and every trace file opens with its spec's hash.
 //
 // Usage:
 //
@@ -34,7 +35,7 @@
 //	ehsim -list
 //	ehsim -workload sieve3000 -supply square -runtime none
 //	ehsim -workload fft64 -supply wind -runtime hibernus-pn -c 330u
-//	ehsim -workload crc256 -supply sine20 -runtime quickrecall -trace vcc.csv
+//	ehsim -workload crc256 -supply rectified-sine -runtime quickrecall -trace vcc.csv
 //	ehsim -workload sieve3000 -supply square -c 4.7u,10u,47u,470u -ff
 //	ehsim -scenario examples/scenarios/transient-fram-vs-sram.json -workers 4
 //	jq '.duration = 1' spec.json | ehsim -scenario -
@@ -47,16 +48,12 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/lab"
-	"repro/internal/mcu"
 	"repro/internal/powerneutral"
 	"repro/internal/programs"
 	"repro/internal/registry"
 	"repro/internal/result"
 	"repro/internal/scenario"
 	"repro/internal/source"
-	"repro/internal/sweep"
-	"repro/internal/trace"
 	"repro/internal/transient"
 	"repro/internal/units"
 )
@@ -64,10 +61,6 @@ import (
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
-
-// supplyAliases maps legacy -supply flag names onto registry names so
-// existing invocations keep working.
-var supplyAliases = map[string]string{"sine20": "rectified-sine"}
 
 // run is the testable entry point: it parses args, executes, and returns
 // the process exit code.
@@ -95,143 +88,68 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		printList(stdout)
 		return 0
 	}
+	var sp *scenario.Spec
+	var err error
 	if *scenarioPath != "" {
-		if err := runScenario(*scenarioPath, *tracePath, *ff, *workers, stdin, stdout, stderr); err != nil {
-			fmt.Fprintf(stderr, "ehsim: %v\n", err)
-			return 1
-		}
-		return 0
+		sp, err = loadSpec(*scenarioPath, stdin)
+	} else {
+		sp, err = flagSpec(*workload, *supply, *runtimeName, *capFlag, *duration)
 	}
-	if err := runFlags(*workload, *supply, *runtimeName, *capFlag, *duration,
-		*tracePath, *ff, *workers, stdout, stderr); err != nil {
+	if err == nil {
+		err = runSpec(sp, *tracePath, *ff, *workers, stdout, stderr)
+	}
+	if err != nil {
 		fmt.Fprintf(stderr, "ehsim: %v\n", err)
 		return 1
 	}
 	return 0
 }
 
-// runFlags is the classic flag-driven path, now resolving every name
-// through the registries.
-func runFlags(workload, supply, runtimeName, capFlag string, duration float64,
-	tracePath string, ff bool, workers int, stdout, stderr io.Writer) error {
-	var caps []float64
+// flagSpec compiles the run flags into a validated spec named after its
+// workload, supply and runtime.
+func flagSpec(workload, supply, runtimeName, capFlag string, duration float64) (*scenario.Spec, error) {
+	var caps []scenario.Value
 	for _, part := range strings.Split(capFlag, ",") {
-		c, err := parseCap(strings.TrimSpace(part))
+		c, err := units.ParseSI(part)
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("-c: %w", err)
 		}
-		caps = append(caps, c)
+		caps = append(caps, scenario.Value(c))
 	}
-
-	supplyLabel := supply // headers show the name as the user gave it
-	if alias, ok := supplyAliases[supply]; ok {
-		supply = alias
+	sp := &scenario.Spec{
+		Name:     workload + "-" + supply + "-" + runtimeName,
+		Workload: workload,
+		Storage:  scenario.StorageSpec{C: caps[0], LeakR: 50e3},
+		Source:   scenario.SourceSpec{Name: supply},
+		Runtime:  scenario.RuntimeSpec{Name: runtimeName},
+		Duration: scenario.Value(duration),
 	}
-	entry, err := transient.LookupRuntime(runtimeName)
-	if err != nil {
-		return err
-	}
-	layout := programs.DefaultLayout()
-	params := mcu.DefaultParams()
-	if entry.UnifiedNV {
-		layout = programs.UnifiedNVLayout()
-		params = mcu.UnifiedNVParams()
-	}
-	w, err := programs.Build(workload, layout)
-	if err != nil {
-		return err
-	}
-	if _, err := source.Build(supply, nil); err != nil {
-		return err
-	}
-
-	setup := func(c float64) lab.Setup {
-		built, _ := source.Build(supply, nil) // validated above; fresh per case
-		mk, _, err := transient.RuntimeFactory(runtimeName, c, nil)
-		if err != nil {
-			panic(err) // unreachable: the name resolved above
-		}
-		return lab.Setup{
-			Workload:    w,
-			Params:      params,
-			MakeRuntime: mk,
-			VSource:     built.V,
-			PSource:     built.P,
-			C:           c,
-			LeakR:       50e3,
-			Duration:    duration,
-			FastForward: ff,
-		}
-	}
-
 	if len(caps) > 1 {
-		if tracePath != "" {
-			fmt.Fprintln(stderr, "ehsim: -trace applies to single runs only; ignoring it for the sweep")
-		}
-		return sweepCaps(caps, setup, workload, supplyLabel, runtimeName, workers, stdout)
+		sp.Sweep = []scenario.Axis{{Param: "c", Values: caps}}
 	}
-
-	c := caps[0]
-	s := setup(c)
-	title := fmt.Sprintf("scenario: %s on %s, runtime=%s, C=%s, %gs",
-		w.Name, supplyLabel, runtimeName, units.Format(c, "F"), duration)
-	return runSingle(s, title, tracePath, stdout)
+	if err := sp.Validate(); err != nil {
+		return nil, err
+	}
+	return sp, nil
 }
 
-// runSingle executes one flag-built setup, printing the title, summary,
-// and (if requested) a CSV trace.
-func runSingle(s lab.Setup, title, tracePath string, stdout io.Writer) error {
-	var rec *trace.Recorder
-	if tracePath != "" {
-		rec = trace.NewRecorder()
-		s.Recorder = rec
-		s.RecordInterval = result.TraceInterval
+// loadSpec reads a declarative spec from path, or from stdin when path
+// is "-".
+func loadSpec(path string, stdin io.Reader) (*scenario.Spec, error) {
+	if path != "-" {
+		return scenario.Load(path)
 	}
-
-	res, err := lab.Run(s)
+	data, err := io.ReadAll(stdin)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("reading spec from stdin: %w", err)
 	}
-
-	fmt.Fprintln(stdout, title)
-	result.WriteSummary(stdout, res, s.Duration)
-
-	if rec != nil {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		// Flag-built runs have no spec, so no spec-hash header; scenario
-		// runs get theirs through result.RunSpec.
-		if err := result.WriteTrace(f, rec, ""); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "  trace written to %s\n", tracePath)
-	}
-	return nil
+	return scenario.Parse(data)
 }
 
-// runScenario executes a declarative spec — loaded from path, or from
-// stdin when path is "-" — through the shared internal/result path, so
+// runSpec executes a spec through the shared internal/result path, so
 // what it prints is exactly what the ehsimd service serves for the same
 // spec.
-func runScenario(path, tracePath string, ff bool, workers int,
-	stdin io.Reader, stdout, stderr io.Writer) error {
-	var sp *scenario.Spec
-	var err error
-	if path == "-" {
-		data, rerr := io.ReadAll(stdin)
-		if rerr != nil {
-			return fmt.Errorf("reading spec from stdin: %w", rerr)
-		}
-		sp, err = scenario.Parse(data)
-	} else {
-		sp, err = scenario.Load(path)
-	}
-	if err != nil {
-		return err
-	}
+func runSpec(sp *scenario.Spec, tracePath string, ff bool, workers int, stdout, stderr io.Writer) error {
 	if ff {
 		sp.FastForward = true
 	}
@@ -253,25 +171,6 @@ func runScenario(path, tracePath string, ff bool, workers int,
 		}
 		fmt.Fprintf(stdout, "  trace written to %s\n", tracePath)
 	}
-	return nil
-}
-
-// sweepCaps fans one run per capacitance out over the sweep engine and
-// prints a storage-axis comparison table in flag order.
-func sweepCaps(caps []float64, setup func(c float64) lab.Setup,
-	workload, supply, runtimeName string, workers int, stdout io.Writer) error {
-	results, err := sweep.Labs(&sweep.Runner{Workers: workers}, len(caps),
-		func(c sweep.Case) lab.Setup { return setup(caps[c.Index]) })
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "storage sweep: %s on %s, runtime=%s, %d cases\n",
-		workload, supply, runtimeName, len(caps))
-	names := make([]string, len(caps))
-	for i, c := range caps {
-		names[i] = units.Format(c, "F")
-	}
-	result.WriteSweepTable(stdout, "C", 10, names, results)
 	return nil
 }
 
@@ -332,13 +231,4 @@ func printList(w io.Writer) {
 		e, _ := powerneutral.LookupGovernor(n)
 		fmt.Fprintf(w, "  %-16s %s%s\n", n, e.Desc, docs(e.Params))
 	}
-}
-
-// parseCap parses values like "10u", "470u", "6m", "0.01".
-func parseCap(s string) (float64, error) {
-	v, err := units.ParseSI(s)
-	if err != nil || v <= 0 {
-		return 0, fmt.Errorf("invalid capacitance %q", s)
-	}
-	return v, nil
 }

@@ -221,14 +221,116 @@ func TestScenarioTraceCarriesSpecHash(t *testing.T) {
 	}
 }
 
-func TestLegacyFlagPathStillWorks(t *testing.T) {
-	code, out, errb := runCLI(t,
-		"-workload", "fib24", "-supply", "dc", "-runtime", "none", "-dur", "0.002")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb)
+// TestFlagsMatchEquivalentSpec pins the run flags to the spec path: each
+// flag invocation prints exactly the bytes `-scenario -` prints for the
+// equivalent spec, and a -trace file carries that spec's hash.
+func TestFlagsMatchEquivalentSpec(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "vcc.csv")
+	cases := []struct {
+		name   string
+		flags  []string // the run flags the spec replaces
+		spec   string
+		shared []string // flags both invocations take
+	}{
+		{"single run",
+			[]string{"-workload", "fib24", "-supply", "dc", "-runtime", "none", "-dur", "0.002"},
+			`{"name": "fib24-dc-none", "workload": "fib24",
+			  "storage": {"c": "10u", "leakr": "50k"}, "source": {"name": "dc"},
+			  "runtime": {"name": "none"}, "duration": 0.002}`,
+			nil},
+		{"c sweep",
+			[]string{"-workload", "fft64", "-supply", "square", "-c", "4.7u,10u,47u", "-dur", "0.5"},
+			`{"name": "fft64-square-hibernus", "workload": "fft64",
+			  "storage": {"c": "4.7u", "leakr": "50k"}, "source": {"name": "square"},
+			  "runtime": {"name": "hibernus"}, "duration": 0.5,
+			  "sweep": [{"param": "c", "values": ["4.7u", "10u", "47u"]}]}`,
+			[]string{"-workers", "2"}},
+		{"trace",
+			[]string{"-workload", "crc64", "-supply", "rectified-sine", "-runtime", "quickrecall", "-dur", "0.05"},
+			`{"name": "crc64-rectified-sine-quickrecall", "workload": "crc64",
+			  "storage": {"c": "10u", "leakr": "50k"}, "source": {"name": "rectified-sine"},
+			  "runtime": {"name": "quickrecall"}, "duration": 0.05}`,
+			[]string{"-trace", tracePath}},
 	}
-	if !strings.Contains(out, "scenario: fib-24 on dc, runtime=none") {
-		t.Errorf("legacy header changed:\n%s", out)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// readTrace returns and removes the trace file, "" if none.
+			readTrace := func() string {
+				data, err := os.ReadFile(tracePath)
+				if os.IsNotExist(err) {
+					return ""
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Remove(tracePath); err != nil {
+					t.Fatal(err)
+				}
+				return string(data)
+			}
+			code, flagOut, errb := runCLI(t, append(tc.flags, tc.shared...)...)
+			if code != 0 {
+				t.Fatalf("flags: exit %d, stderr: %s", code, errb)
+			}
+			flagTrace := readTrace()
+			code, specOut, errb := runCLIStdin(t, tc.spec, append([]string{"-scenario", "-"}, tc.shared...)...)
+			if code != 0 {
+				t.Fatalf("spec: exit %d, stderr: %s", code, errb)
+			}
+			specTrace := readTrace()
+
+			if flagOut != specOut {
+				t.Errorf("flag output diverges from the spec's:\nflags:\n%s\nspec:\n%s", flagOut, specOut)
+			}
+			if !strings.Contains(flagOut, "completions") {
+				t.Errorf("no report printed:\n%s", flagOut)
+			}
+			if flagTrace != specTrace {
+				t.Errorf("flag trace file diverges from the spec's (%d vs %d bytes)", len(flagTrace), len(specTrace))
+			}
+			if tc.shared == nil || tc.shared[0] != "-trace" {
+				return
+			}
+			sp, err := scenario.Parse([]byte(tc.spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hash, err := sp.Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := "# spec-hash: " + hash + "\n"; !strings.HasPrefix(flagTrace, want) {
+				t.Errorf("flag trace should open with %q, got:\n%.120s", want, flagTrace)
+			}
+		})
+	}
+}
+
+func TestFlagErrorsExitOne(t *testing.T) {
+	cases := []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-dur", "NaN"}, []string{"duration", "NaN"}},
+		{[]string{"-dur", "Inf"}, []string{"duration", "Inf"}},
+		{[]string{"-dur", "-1"}, []string{"duration", "-1"}},
+		{[]string{"-dur", "0"}, []string{"duration"}},
+		{[]string{"-c", "0"}, []string{"storage.c"}},
+		{[]string{"-c", "10u,-1u"}, []string{"storage.c"}},
+		{[]string{"-c", "10x"}, []string{"-c", `"10x"`}},
+		{[]string{"-supply", "sine20"}, []string{`unknown source "sine20"`, "rectified-sine"}},
+		{[]string{"-workload", "fft63"}, []string{`unknown workload "fft63"`, "fft64"}},
+	}
+	for _, tc := range cases {
+		code, out, errb := runCLI(t, tc.args...)
+		if code != 1 {
+			t.Errorf("%v: exit %d, want 1 (stdout: %s)", tc.args, code, out)
+		}
+		for _, frag := range tc.want {
+			if !strings.Contains(errb, frag) {
+				t.Errorf("%v: stderr should contain %q, got: %s", tc.args, frag, errb)
+			}
+		}
 	}
 }
 

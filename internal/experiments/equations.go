@@ -274,32 +274,26 @@ func runEq5() (*Output, error) {
 	// The full comparison is a 5×2 grid — outage frequency × memory system —
 	// of independent six-second runs: exactly the shape the sweep engine
 	// fans out. Row-major order means results arrive [f0/hib, f0/qr, f1/hib, ...].
+	// Each case is the base spec with the supply's on/off times and the
+	// runtime applied; quickrecall selects the unified-FRAM device.
+	base := &scenario.Spec{
+		Name:     "eq5-crossover",
+		Workload: "fft64",
+		Storage:  scenario.StorageSpec{C: 10e-6},
+		Source:   scenario.SourceSpec{Name: "square"},
+		Duration: 6.0,
+	}
 	grid := sweep.NewGrid().
 		Floats("freq", freqs...).
-		Bools("unified", false, true)
+		Axis("runtime", "hibernus", "quickrecall")
 	runs, err := sweep.MapGrid(nil, grid, func(c sweep.Case) (lab.Result, error) {
-		unified := c.Bool("unified")
-		period := 1.0 / c.Float("freq")
-		layout := programs.DefaultLayout()
-		params := mcu.DefaultParams()
-		if unified {
-			layout = programs.UnifiedNVLayout()
-			params = mcu.UnifiedNVParams()
-		}
-		s := lab.Setup{
-			Workload: programs.FFT(64, layout),
-			Params:   params,
-			MakeRuntime: func(d *mcu.Device) mcu.Runtime {
-				if unified {
-					return transient.NewQuickRecall(d, 10e-6, 1.1, 0.35)
-				}
-				return transient.NewHibernus(d, 10e-6, 1.1, 0.35)
-			},
-			VSource: &source.SquareWaveVoltage{
-				High: 3.3, OnTime: period / 2, OffTime: period / 2, Rs: 100,
-			},
-			C:        10e-6,
-			Duration: 6.0,
+		sp := base.Clone()
+		half := scenario.Value(1.0 / c.Float("freq") / 2)
+		sp.Source.Params = map[string]scenario.Value{"ontime": half, "offtime": half}
+		sp.Runtime.Name = c.Val("runtime").(string)
+		s, err := sp.Setup()
+		if err != nil {
+			return lab.Result{}, err
 		}
 		return lab.Run(s)
 	})
@@ -379,21 +373,28 @@ func probeDevice(unified bool) (*mcu.Device, error) {
 	return mcu.New(params, prog), nil
 }
 
+// RuntimesSpec is the declarative form of the runtime comparison: the
+// standard square-wave testbed with a name axis over the five protection
+// strategies, unified-FRAM quickrecall included.
+func RuntimesSpec() *scenario.Spec {
+	return &scenario.Spec{
+		Name:        "runtimes-square",
+		Description: "sieve-3000 under each surveyed transient runtime on the square-wave testbed",
+		Paper:       "conf_date_MerrettA17 §II.B",
+		Workload:    "sieve3000",
+		Storage:     scenario.StorageSpec{C: 10e-6, LeakR: 50e3},
+		Source:      scenario.SourceSpec{Name: "square"},
+		Duration:    3.0,
+		Sweep: []scenario.Axis{
+			{Param: "runtime", Names: []string{"none", "mementos", "hibernus", "hibernus++", "quickrecall"}},
+		},
+	}
+}
+
 // runRuntimes compares all five protection strategies on the standard
-// intermittent testbed.
+// intermittent testbed; cases come from RuntimesSpec's runtime axis.
 func runRuntimes() (*Output, error) {
-	type entry struct {
-		name string
-		mk   func(d *mcu.Device) mcu.Runtime
-		uni  bool
-	}
-	entries := []entry{
-		{"none (restart)", nil, false},
-		{"mementos", func(d *mcu.Device) mcu.Runtime { return transient.NewMementos(d, 2.2) }, false},
-		{"hibernus", func(d *mcu.Device) mcu.Runtime { return transient.NewHibernus(d, 10e-6, 1.1, 0.35) }, false},
-		{"hibernus++", func(d *mcu.Device) mcu.Runtime { return transient.NewHibernusPP(d) }, false},
-		{"quickrecall", func(d *mcu.Device) mcu.Runtime { return transient.NewQuickRecall(d, 10e-6, 1.1, 0.35) }, true},
-	}
+	sp := RuntimesSpec()
 	tbl := Table{
 		Title: "sieve-3000 on 3.3 V square wave (4 ms on / 150 ms off), 10 µF rail",
 		Columns: []string{"runtime", "completions", "wrong", "saves", "aborted",
@@ -403,37 +404,29 @@ func runRuntimes() (*Output, error) {
 		ID:          "runtimes",
 		Description: "comparative behaviour of the surveyed transient runtimes",
 	}
-	runs, err := sweep.Labs(nil, len(entries), func(c sweep.Case) lab.Setup {
-		e := entries[c.Index]
-		layout := programs.DefaultLayout()
-		params := mcu.DefaultParams()
-		if e.uni {
-			layout = programs.UnifiedNVLayout()
-			params = mcu.UnifiedNVParams()
+	runs, err := sweep.MapGrid(nil, sp.Grid(), func(c sweep.Case) (lab.Result, error) {
+		s, err := sp.SetupAt(c)
+		if err != nil {
+			return lab.Result{}, err
 		}
-		return lab.Setup{
-			Workload:    programs.Sieve(3000, layout),
-			Params:      params,
-			MakeRuntime: e.mk,
-			VSource:     &source.SquareWaveVoltage{High: 3.3, OnTime: 0.004, OffTime: 0.150, Rs: 100},
-			C:           10e-6,
-			LeakR:       50e3,
-			Duration:    3.0,
-		}
+		return lab.Run(s)
 	})
 	if err != nil {
 		return nil, err
 	}
 	results := map[string]lab.Result{}
-	for i, e := range entries {
+	for i, name := range sp.Sweep[0].Names {
+		if name == "none" {
+			name = "none (restart)"
+		}
 		res := runs[i]
-		results[e.name] = res
+		results[name] = res
 		eop := "∞"
 		if res.Completions > 0 {
 			eop = fmt.Sprintf("%.0f", res.EnergyPerCompletion()*1e6)
 		}
 		tbl.Rows = append(tbl.Rows, []string{
-			e.name,
+			name,
 			fmt.Sprintf("%d", res.Completions),
 			fmt.Sprintf("%d", res.WrongResults),
 			fmt.Sprintf("%d", res.Stats.SavesStarted),

@@ -27,17 +27,25 @@ func TestPortedSpecsCompile(t *testing.T) {
 	if _, err := Fig7Spec().Setup(); err != nil {
 		t.Errorf("Fig7Spec: %v", err)
 	}
-	sp := Eq4Spec()
-	if err := sp.Validate(); err != nil {
-		t.Fatalf("Eq4Spec: %v", err)
-	}
-	grid := sp.Grid()
-	if grid.Size() != 6 {
-		t.Errorf("Eq4Spec grid size = %d, want 6", grid.Size())
-	}
-	for _, c := range grid.Cases() {
-		if _, err := sp.SetupAt(c); err != nil {
-			t.Errorf("Eq4Spec case %s: %v", c.Name, err)
+	for _, tc := range []struct {
+		name  string
+		sp    *scenario.Spec
+		cases int
+	}{
+		{"Eq4Spec", Eq4Spec(), 6},
+		{"RuntimesSpec", RuntimesSpec(), 5},
+	} {
+		if err := tc.sp.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		grid := tc.sp.Grid()
+		if grid.Size() != tc.cases {
+			t.Errorf("%s grid size = %d, want %d", tc.name, grid.Size(), tc.cases)
+		}
+		for _, c := range grid.Cases() {
+			if _, err := tc.sp.SetupAt(c); err != nil {
+				t.Errorf("%s case %s: %v", tc.name, c.Name, err)
+			}
 		}
 	}
 }

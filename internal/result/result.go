@@ -11,10 +11,8 @@
 // rendered report with the spec's content address. Every front-end that
 // goes through RunSpec gains new models the moment they register.
 //
-// The package also re-exports the textual building blocks the CLI's
-// legacy flag path shares with lab scenario reports (WriteSummary,
-// WriteSweepTable) and owns the trace serialisation that stamps every
-// CSV with the spec's content address (WriteTrace).
+// The package also owns the trace serialisation that stamps every CSV
+// with the spec's content address (WriteTrace).
 package result
 
 import (
@@ -180,25 +178,6 @@ func wrapReport(sp *scenario.Spec, hash string, mr *scenario.ModelReport) (*Repo
 		rep.Trace = mr.Trace
 	}
 	return rep, nil
-}
-
-// SingleTitle renders a single-run lab scenario's report title line.
-func SingleTitle(sp *scenario.Spec) string { return scenario.SingleTitle(sp) }
-
-// SweepAxesLabel joins the spec's sweep axis names for the report header.
-func SweepAxesLabel(sp *scenario.Spec) string { return scenario.SweepAxesLabel(sp) }
-
-// WriteSummary renders one run's result block — the per-run body shared
-// by the CLI's flag and scenario paths and the service's reports.
-func WriteSummary(w io.Writer, res lab.Result, duration float64) {
-	scenario.WriteSummary(w, res, duration)
-}
-
-// WriteSweepTable renders the sweep comparison table: a header row, then
-// one row per case. width sets the first column's width, col0 its title
-// ("case" for scenario sweeps, "C" for the CLI's storage sweeps).
-func WriteSweepTable(w io.Writer, col0 string, width int, names []string, results []lab.Result) {
-	scenario.WriteSweepTable(w, col0, width, names, results)
 }
 
 // WriteTrace serialises a recorded trace as CSV, prefixed (when specHash

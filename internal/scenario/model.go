@@ -399,7 +399,7 @@ func (e *tableSweepEngine) Checkpoint() ([]byte, error) {
 func (e *tableSweepEngine) Report() (*ModelReport, error) {
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "scenario %s: sweep over %s, %d cases\n",
-		e.sp.Name, SweepAxesLabel(e.sp), len(e.cases))
+		e.sp.Name, sweepAxesLabel(e.sp), len(e.cases))
 	writeCellTable(&buf, "case", 32, e.header, e.names, e.rows)
 	return &ModelReport{
 		Sweep:      true,

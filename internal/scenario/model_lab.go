@@ -193,8 +193,8 @@ func (e *labSingleEngine) Checkpoint() ([]byte, error) {
 // Report implements Engine.
 func (e *labSingleEngine) Report() (*ModelReport, error) {
 	var buf bytes.Buffer
-	fmt.Fprintln(&buf, SingleTitle(e.sp))
-	WriteSummary(&buf, e.res, float64(e.sp.Duration))
+	fmt.Fprintln(&buf, singleTitle(e.sp))
+	writeSummary(&buf, e.res, float64(e.sp.Duration))
 	return &ModelReport{
 		Cases:      []ModelCase{{Name: e.sp.Name, Lab: e.res, Metrics: labMetrics(e.res, float64(e.sp.Duration))}},
 		SimSeconds: float64(e.sp.Duration),
@@ -394,7 +394,7 @@ func (e *labSweepEngine) Report() (*ModelReport, error) {
 	var buf bytes.Buffer
 	rep := &ModelReport{Sweep: true}
 	fmt.Fprintf(&buf, "scenario %s: sweep over %s, %d cases\n",
-		e.sp.Name, SweepAxesLabel(e.sp), len(e.cases))
+		e.sp.Name, sweepAxesLabel(e.sp), len(e.cases))
 	names := make([]string, len(e.cases))
 	rep.Cases = make([]ModelCase, len(e.cases))
 	for i, c := range e.cases {
@@ -403,7 +403,7 @@ func (e *labSweepEngine) Report() (*ModelReport, error) {
 		rep.Cases[i] = ModelCase{Name: c.Name, Lab: e.results[i], Metrics: labMetrics(e.results[i], d)}
 		rep.SimSeconds += d
 	}
-	WriteSweepTable(&buf, "case", 32, names, e.results)
+	writeSweepTable(&buf, names, e.results)
 	rep.Trace = e.rec
 	rep.Text = buf.String()
 	return rep, nil

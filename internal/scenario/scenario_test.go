@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -90,6 +91,11 @@ func TestValidateErrorsAreActionable(t *testing.T) {
 			[]string{"profile", "unified-nv"}},
 		{"zero C", func(s *Spec) { s.Storage.C = 0 }, []string{"storage.c"}},
 		{"zero duration", func(s *Spec) { s.Duration = 0 }, []string{"duration"}},
+		// Go-built specs can carry values JSON cannot spell.
+		{"NaN duration", func(s *Spec) { s.Duration = Value(math.NaN()) }, []string{"duration", "finite"}},
+		{"Inf duration", func(s *Spec) { s.Duration = Value(math.Inf(1)) }, []string{"duration", "finite"}},
+		{"NaN dt", func(s *Spec) { s.Dt = Value(math.NaN()) }, []string{"dt", "finite"}},
+		{"Inf dt", func(s *Spec) { s.Dt = Value(math.Inf(1)) }, []string{"dt", "finite"}},
 		{"empty axis", func(s *Spec) { s.Sweep = []Axis{{Param: "c"}} },
 			[]string{"values or names"}},
 		{"axis both kinds", func(s *Spec) {

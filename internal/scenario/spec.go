@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/registry"
@@ -195,11 +196,12 @@ func (s *Spec) Validate() error {
 	if err != nil {
 		return s.errf("%w", err)
 	}
-	if s.Duration <= 0 {
-		return s.errf("duration must be positive (got %g s)", float64(s.Duration))
+	// Negated comparisons, so NaN fails them too.
+	if !(s.Duration > 0) || math.IsInf(float64(s.Duration), 0) {
+		return s.errf("duration must be positive and finite (got %g s)", float64(s.Duration))
 	}
-	if s.Dt < 0 {
-		return s.errf("dt must be non-negative (got %g s)", float64(s.Dt))
+	if !(s.Dt >= 0) || math.IsInf(float64(s.Dt), 0) {
+		return s.errf("dt must be non-negative and finite (got %g s)", float64(s.Dt))
 	}
 	// Validation probes every axis point below, so the point count must
 	// be bounded before that loop — otherwise a pathological spec buys
